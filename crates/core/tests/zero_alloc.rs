@@ -4,11 +4,14 @@
 //! the heap at all.
 //!
 //! This lives in its own integration-test binary because it installs a
-//! counting global allocator — unit tests running concurrently in the
-//! library binary would pollute the counter.
+//! counting global allocator. Allocations are counted per thread, so the
+//! other test and the test harness, which run on their own threads, never
+//! pollute the window under measurement. Both hot paths run on the calling
+//! thread (`HostPool::new(1)` is serial), so every allocation they make is
+//! counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fastgr_core::{DpScratch, PatternDp, PatternMode};
 use fastgr_design::Generator;
@@ -16,16 +19,32 @@ use fastgr_gpu::HostPool;
 use fastgr_grid::{CostParams, CostProber, Point2, Route, Segment};
 use fastgr_steiner::SteinerBuilder;
 
-/// Counts every allocation and reallocation passed to the system
-/// allocator. Frees are not counted: releasing memory is allowed (and
-/// does not happen on the hot path anyway — buffers are recycled).
+/// Counts every allocation and reallocation the current thread passes to
+/// the system allocator. Frees are not counted: releasing memory is
+/// allowed (and does not happen on the hot path anyway — buffers are
+/// recycled).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialised `Cell` needs no lazy setup, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn count_alloc() {
+    // `try_with` cannot panic inside the allocator, even during thread
+    // teardown.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -68,12 +87,12 @@ fn route_net_into_is_allocation_free_in_steady_state() {
 
         // Steady state: routing the whole design again through the same
         // scratch must perform zero heap allocations.
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = thread_allocs();
         for tree in &trees {
             dp.route_net_into(tree, &mut scratch, &mut route)
                 .expect("routable");
         }
-        let steady = ALLOCS.load(Ordering::SeqCst) - before;
+        let steady = thread_allocs() - before;
         assert_eq!(
             steady, 0,
             "{mode:?}: {steady} allocations on the steady-state pass"
@@ -100,10 +119,10 @@ fn prober_refresh_is_allocation_free_in_steady_state() {
 
     // Steady state: the same commit shape must rebuild through the
     // pre-sized scratch without heap traffic.
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = thread_allocs();
     graph.commit(&route).expect("valid route");
     prober.refresh(&mut graph, &pool);
-    let steady = ALLOCS.load(Ordering::SeqCst) - before;
+    let steady = thread_allocs() - before;
     assert_eq!(
         steady, 0,
         "{steady} allocations on the steady-state refresh"

@@ -21,6 +21,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+echo "== benchmark harness build (locked) =="
+cargo build --release --offline --locked --manifest-path routebench/Cargo.toml
+
 echo "== xtask check =="
 cargo xtask check
 
