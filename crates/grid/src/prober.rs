@@ -44,6 +44,16 @@ use crate::graph::fixed_cost_to_f64;
 use crate::layer::Direction;
 use crate::{GridGraph, Point2};
 
+/// A relaxed counter alone on its cache lines (128 bytes covers the
+/// adjacent-line prefetch pair). Every probe bumps it from whichever pool
+/// worker runs the probe; unpadded, it shared a line with the prober's
+/// read-only fields, so each bump evicted those fields from the other
+/// worker's cache and probe cost depended on where the prober landed in
+/// memory.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct PaddedCounter(AtomicU64);
+
 /// Reusable dirty-harvest scratch; sized once at build so the steady-state
 /// [`CostProber::refresh`] path allocates nothing.
 #[derive(Debug)]
@@ -108,7 +118,7 @@ pub struct CostProber {
     /// length `layers + 1`.
     row_off: Vec<usize>,
     /// Number of probes served (diagnostic counter, relaxed).
-    probes: AtomicU64,
+    probes: PaddedCounter,
     /// Number of builds + refreshes performed.
     builds: u64,
     /// Total rows/columns/via stacks re-summed across all builds.
@@ -150,7 +160,7 @@ impl CostProber {
             wire_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
             via_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
             row_off,
-            probes: AtomicU64::new(0),
+            probes: PaddedCounter::default(),
             builds: 0,
             rows_rebuilt: 0,
             scratch: RebuildScratch {
@@ -301,7 +311,7 @@ impl CostProber {
     /// grid or fight the layer's preferred direction, exactly like the
     /// naive walk.
     pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.probes.0.fetch_add(1, Ordering::Relaxed);
         if a == b {
             return 0.0;
         }
@@ -347,7 +357,7 @@ impl CostProber {
     ///
     /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
     pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.probes.0.fetch_add(1, Ordering::Relaxed);
         let (lo, hi) = (l1.min(l2) as usize, l1.max(l2) as usize);
         if hi >= self.layers || p.x as usize >= self.width || p.y as usize >= self.height {
             return f64::INFINITY;
@@ -360,7 +370,7 @@ impl CostProber {
 
     /// Number of probes served since construction.
     pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
+        self.probes.0.load(Ordering::Relaxed)
     }
 
     /// Number of cache builds + incremental refreshes performed.
