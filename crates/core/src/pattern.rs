@@ -18,7 +18,7 @@ use fastgr_design::Design;
 use fastgr_gpu::{BlockProfile, Device, DeviceConfig, HostPool, SyncSlots};
 use fastgr_grid::{CostProber, GridGraph, Rect, Route};
 use fastgr_steiner::{RouteTree, SteinerBuilder};
-use fastgr_taskgraph::{extract_batches, ConflictGraph};
+use fastgr_taskgraph::{extract_batches, extract_batches_from_boxes, ConflictGraph};
 use fastgr_telemetry::{Recorder, Stopwatch};
 
 use crate::dp::{PatternDp, PatternMode};
@@ -114,11 +114,14 @@ pub struct PatternStage {
     /// either way — both paths share the Q44.20 quantised cost domain —
     /// so this is purely the O((M+N)²·L²) → O((M+N)·L²) per-net speedup.
     pub cost_probing: bool,
-    /// Debug-assert-style soundness checking: when set, the extracted
-    /// batches are verified against the conflict graph with the
-    /// `fastgr-analysis` validator (every batch an independent set, every
-    /// task covered exactly once) and any violation panics with structured
-    /// diagnostics. Costs one extra pass over the conflict edges.
+    /// Debug-assert-style soundness checking: when set, the stage builds
+    /// the bounding-box [`ConflictGraph`] (batching itself needs no edges),
+    /// verifies the batches against it with the `fastgr-analysis`
+    /// validator (every batch an independent set, every task covered
+    /// exactly once) and checks them against the reference batches
+    /// [`extract_batches`] derives from the graph; any violation panics
+    /// with structured diagnostics. Costs the graph build, one pass over
+    /// its edges and the reference fill.
     pub validate: bool,
 }
 
@@ -182,11 +185,16 @@ impl PatternStage {
         let trees: Vec<RouteTree> = pool.map(nets.len(), |i| builder.build(&nets[i]));
         let order = self.sorting.sorted_ids(design.nets());
         let bboxes: Vec<Rect> = design.nets().iter().map(|n| n.bounding_box()).collect();
-        let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
-        let batches = extract_batches(&order, &conflicts);
+        let batches = extract_batches_from_boxes(&order, &bboxes);
         if self.validate {
+            let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
             fastgr_analysis::validate_batches(&batches, &conflicts)
                 .assert_clean("pattern stage batch extraction");
+            assert_eq!(
+                batches,
+                extract_batches(&order, &conflicts),
+                "pattern stage batches differ from the conflict-graph reference"
+            );
         }
         let planning_seconds = plan_start.elapsed_seconds();
         plan_span.finish();

@@ -236,19 +236,32 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// Reported total: planning + PATTERN + MAZE.
+    /// Reported total: planning + PATTERN + MAZE, the paper's accounting.
+    /// It mixes clocks (host planning, modelled or host PATTERN, modelled
+    /// MAZE), so the timing line labels it "reported".
     pub fn total_seconds(&self) -> f64 {
         self.planning_seconds + self.pattern_seconds + self.maze_seconds
     }
 }
 
+/// The timing line: measured host seconds and modelled seconds as separate
+/// labelled groups, then the reported total, e.g.
+/// `host: planning 0.010s, pattern 0.050s, rrr 0.200s; modelled: pattern
+/// gpu 0.004s, maze 0.080s; reported 0.094s`. The modelled PATTERN entry
+/// appears for GPU engines only.
 impl fmt::Display for StageTimings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "planning {:.3}s, pattern {:.3}s, maze {:.3}s (total {:.3}s)",
-            self.planning_seconds,
-            self.pattern_seconds,
+            "host: planning {:.3}s, pattern {:.3}s, rrr {:.3}s; modelled: ",
+            self.planning_seconds, self.pattern_host_seconds, self.maze_host_seconds
+        )?;
+        if let Some(gpu) = self.pattern_gpu_seconds {
+            write!(f, "pattern gpu {gpu:.3}s, ")?;
+        }
+        write!(
+            f,
+            "maze {:.3}s; reported {:.3}s",
             self.maze_seconds,
             self.total_seconds()
         )
@@ -420,6 +433,33 @@ mod tests {
             assert!(outcome.guides.covers_pins(&design));
             assert!(outcome.timings.total_seconds() > 0.0);
         }
+    }
+
+    #[test]
+    fn timing_line_labels_host_and_modelled_clocks() {
+        let gpu = StageTimings {
+            planning_seconds: 0.5,
+            pattern_seconds: 0.25,
+            pattern_host_seconds: 2.0,
+            pattern_gpu_seconds: Some(0.25),
+            maze_seconds: 1.0,
+            maze_host_seconds: 3.0,
+        };
+        assert_eq!(
+            gpu.to_string(),
+            "host: planning 0.500s, pattern 2.000s, rrr 3.000s; \
+             modelled: pattern gpu 0.250s, maze 1.000s; reported 1.750s"
+        );
+        let cpu = StageTimings {
+            pattern_seconds: 2.0,
+            pattern_gpu_seconds: None,
+            ..gpu
+        };
+        assert_eq!(
+            cpu.to_string(),
+            "host: planning 0.500s, pattern 2.000s, rrr 3.000s; \
+             modelled: maze 1.000s; reported 3.500s"
+        );
     }
 
     #[test]

@@ -28,7 +28,9 @@ use std::cell::RefCell;
 use fastgr_design::Design;
 use fastgr_grid::{GridGraph, Point2, Rect, Route};
 use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch};
-use fastgr_taskgraph::{extract_batches, ConflictGraph, Executor, HookPair, Schedule, TraceHooks};
+use fastgr_taskgraph::{
+    extract_batches_from_boxes, ConflictGraph, Executor, HookPair, Schedule, TraceHooks,
+};
 use fastgr_telemetry::{Recorder, Stopwatch};
 use parking_lot::Mutex;
 
@@ -193,8 +195,10 @@ impl RrrStage {
             recorder.counter_sample("rrr.nets_ripped", violating.len() as f64);
             nets_ripped.push(violating.len());
 
-            // Conflict graph over net bounding boxes (+1 G-cell), following
-            // the paper: tasks whose nets overlap must serialise. A maze
+            // Task boxes: net bounding boxes (+1 G-cell), following the
+            // paper: tasks whose boxes overlap must serialise. Only the
+            // task-graph strategy (and validation) builds conflict edges
+            // from them; batch fill tests the boxes directly. A maze
             // search can stray past the bounding box into the window
             // margin, where it may read congestion another task is
             // mid-committing; every update is an atomic fixed-point add, so
@@ -209,7 +213,6 @@ impl RrrStage {
                         .inflated(1, design.width(), design.height())
                 })
                 .collect();
-            let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
             let order: Vec<u32> = (0..violating.len() as u32).collect();
 
             // Stage each task's current route into its slot by moving it
@@ -280,6 +283,7 @@ impl RrrStage {
 
             match self.strategy {
                 RrrStrategy::TaskGraph => {
+                    let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
                     let schedule = Schedule::build(&order, &conflicts);
                     if self.validate {
                         fastgr_analysis::validate_schedule(&schedule, &conflicts)
@@ -324,8 +328,9 @@ impl RrrStage {
                     modeled += schedule.simulate_workers(&costs, self.workers);
                 }
                 RrrStrategy::BatchBarrier => {
-                    let batches = extract_batches(&order, &conflicts);
+                    let batches = extract_batches_from_boxes(&order, &bboxes);
                     if self.validate {
+                        let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
                         fastgr_analysis::validate_batches(&batches, &conflicts)
                             .assert_clean("rrr batch extraction");
                     }

@@ -1,5 +1,8 @@
 //! Algorithm 1: greedy batch extraction.
 
+use fastgr_grid::Rect;
+
+use crate::bucket::BucketGrid;
 use crate::conflict::ConflictGraph;
 
 /// Partitions tasks into conflict-free batches (paper Algorithm 1).
@@ -36,45 +39,113 @@ use crate::conflict::ConflictGraph;
 /// ```
 pub fn extract_batches(order: &[u32], conflicts: &ConflictGraph) -> Vec<Vec<u32>> {
     let n = conflicts.task_count();
-    let mut assigned = vec![false; n];
+    check_order(order, n);
     let mut blocked = vec![u32::MAX; n]; // batch number that blocks the task
-    let mut batches: Vec<Vec<u32>> = Vec::new();
-
-    let mut remaining: Vec<u32> = order.to_vec();
-    {
-        let mut seen = vec![false; n];
-        for &t in &remaining {
-            assert!((t as usize) < n, "task id {t} out of range");
-            assert!(!seen[t as usize], "task id {t} listed twice");
-            seen[t as usize] = true;
+    greedy_fill(order, |batch_no, t| {
+        if blocked[t as usize] == batch_no {
+            return false;
         }
-    }
+        // Later tasks of this round that conflict with `t` are blocked.
+        for &nb in conflicts.neighbors(t) {
+            blocked[nb as usize] = batch_no;
+        }
+        true
+    })
+}
 
-    let mut batch_no = 0u32;
+/// [`extract_batches`] over the boxes themselves, without building any
+/// conflict edges: task `i` owns `boxes[i]`, and two tasks conflict when
+/// their boxes intersect. The batches equal
+/// `extract_batches(order, &ConflictGraph::from_bounding_boxes(boxes))`.
+///
+/// Each round keeps a bucket index of the boxes already in the batch; a
+/// candidate joins when its box intersects none of the members in the
+/// buckets it covers.
+///
+/// # Panics
+///
+/// Panics if `order` contains an id out of range of `boxes`, or lists any
+/// task twice.
+///
+/// # Example
+///
+/// ```
+/// use fastgr_grid::{Point2, Rect};
+/// use fastgr_taskgraph::extract_batches_from_boxes;
+///
+/// let boxes = vec![
+///     Rect::new(Point2::new(0, 0), Point2::new(4, 4)),
+///     Rect::new(Point2::new(3, 3), Point2::new(7, 7)),
+///     Rect::new(Point2::new(6, 6), Point2::new(9, 9)),
+/// ];
+/// assert_eq!(
+///     extract_batches_from_boxes(&[0, 1, 2], &boxes),
+///     vec![vec![0, 2], vec![1]]
+/// );
+/// ```
+pub fn extract_batches_from_boxes(order: &[u32], boxes: &[Rect]) -> Vec<Vec<u32>> {
+    check_order(order, boxes.len());
+    let grid = BucketGrid::covering(boxes);
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut round = 0;
+    greedy_fill(order, |batch_no, t| {
+        if batch_no != round {
+            for cell in touched.drain(..) {
+                buckets[cell].clear();
+            }
+            round = batch_no;
+        }
+        let rect = &boxes[t as usize];
+        let blocked = grid.rows(rect).any(|row| {
+            buckets[row]
+                .iter()
+                .flatten()
+                .any(|&m| boxes[m as usize].intersects(rect))
+        });
+        if blocked {
+            return false;
+        }
+        for cell in grid.rows(rect).flatten() {
+            if buckets[cell].is_empty() {
+                touched.push(cell);
+            }
+            buckets[cell].push(t);
+        }
+        true
+    })
+}
+
+/// Asserts that `order` lists ids below `n`, none twice.
+fn check_order(order: &[u32], n: usize) {
+    let mut seen = vec![false; n];
+    for &t in order {
+        assert!((t as usize) < n, "task id {t} out of range");
+        assert!(!seen[t as usize], "task id {t} listed twice");
+        seen[t as usize] = true;
+    }
+}
+
+/// Algorithm 1's round loop: each round scans the remaining tasks in order
+/// and offers each to `try_join(batch_no, task)`, which admits it to batch
+/// `batch_no` (and returns `true`) when it conflicts with no member so far.
+fn greedy_fill(order: &[u32], mut try_join: impl FnMut(u32, u32) -> bool) -> Vec<Vec<u32>> {
+    let mut batches: Vec<Vec<u32>> = Vec::new();
+    let mut remaining: Vec<u32> = order.to_vec();
     while !remaining.is_empty() {
+        let batch_no = batches.len() as u32;
         let mut batch = Vec::new();
         let mut rest = Vec::with_capacity(remaining.len());
         for &t in &remaining {
-            if assigned[t as usize] {
-                continue;
-            }
-            if blocked[t as usize] == batch_no {
+            if try_join(batch_no, t) {
+                batch.push(t);
+            } else {
                 rest.push(t);
-                continue;
             }
-            // No conflict with anything already in this batch: take it.
-            assigned[t as usize] = true;
-            for &nb in conflicts.neighbors(t) {
-                if !assigned[nb as usize] {
-                    blocked[nb as usize] = batch_no;
-                }
-            }
-            batch.push(t);
         }
         debug_assert!(!batch.is_empty(), "every round must make progress");
         batches.push(batch);
         remaining = rest;
-        batch_no += 1;
     }
     batches
 }
@@ -82,7 +153,7 @@ pub fn extract_batches(order: &[u32], conflicts: &ConflictGraph) -> Vec<Vec<u32>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastgr_grid::{Point2, Rect};
+    use fastgr_grid::Point2;
     use proptest::prelude::*;
 
     fn rect(x0: u16, y0: u16, x1: u16, y1: u16) -> Rect {
@@ -121,14 +192,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "listed twice")]
+    #[should_panic(expected = "task id 0 listed twice")]
     fn duplicate_ids_panic() {
         let boxes = vec![rect(0, 0, 1, 1)];
         let conflicts = ConflictGraph::from_bounding_boxes(&boxes);
         let _ = extract_batches(&[0, 0], &conflicts);
     }
 
+    #[test]
+    #[should_panic(expected = "task id 0 listed twice")]
+    fn box_fill_duplicate_ids_panic() {
+        let _ = extract_batches_from_boxes(&[0, 0], &[rect(0, 0, 1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task id 1 out of range")]
+    fn out_of_range_ids_panic() {
+        let conflicts = ConflictGraph::from_bounding_boxes(&[rect(0, 0, 1, 1)]);
+        let _ = extract_batches(&[0, 1], &conflicts);
+    }
+
+    #[test]
+    #[should_panic(expected = "task id 1 out of range")]
+    fn box_fill_out_of_range_ids_panic() {
+        let _ = extract_batches_from_boxes(&[0, 1], &[rect(0, 0, 1, 1)]);
+    }
+
     proptest! {
+        /// The edge-free box fill must give exactly Algorithm 1's batches
+        /// over the all-pairs conflict graph: point, zero-width and merely
+        /// touching boxes, coordinates scaled so boxes span many buckets or
+        /// share one, and a shuffled order.
+        #[test]
+        fn box_fill_matches_graph_fill(
+            raw in proptest::collection::vec(
+                (0u16..60, 0u16..60, 0u16..14, 0u16..14, 0u32..1000),
+                0..48,
+            ),
+            scale in 1u16..9
+        ) {
+            let boxes: Vec<Rect> = raw
+                .iter()
+                .map(|&(x, y, w, h, _)| {
+                    rect(x * scale, y * scale, (x + w) * scale, (y + h) * scale)
+                })
+                .collect();
+            let mut order: Vec<u32> = (0..boxes.len() as u32).collect();
+            order.sort_by_key(|&t| (raw[t as usize].4, t));
+            let conflicts = ConflictGraph::from_bounding_boxes_naive(&boxes);
+            prop_assert_eq!(
+                extract_batches_from_boxes(&order, &boxes),
+                extract_batches(&order, &conflicts)
+            );
+        }
+
         #[test]
         fn batches_partition_and_are_conflict_free(
             raw in proptest::collection::vec((0u16..30, 0u16..30, 0u16..8, 0u16..8), 1..30)

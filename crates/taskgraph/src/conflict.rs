@@ -4,75 +4,57 @@ use std::fmt;
 
 use fastgr_grid::Rect;
 
+use crate::bucket::BucketGrid;
+
 /// The task conflict graph: tasks are vertices, an edge joins every pair of
 /// tasks whose bounding boxes overlap (they would touch the same routing
 /// resources and must not execute concurrently).
 ///
 /// Construction uses a uniform bucket grid so the expected cost is close to
 /// linear in the number of tasks plus the number of actual conflicts,
-/// instead of the all-pairs `O(n^2)`.
+/// instead of the all-pairs `O(n^2)`. Each overlapping pair is emitted once,
+/// from the bucket holding the lower-left corner of the two boxes'
+/// intersection. Adjacency is stored compressed (CSR): task `t`'s
+/// neighbours are `head[first_out[t]..first_out[t + 1]]`, sorted ascending.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictGraph {
-    adjacency: Vec<Vec<u32>>,
-    edge_count: usize,
+    first_out: Vec<usize>,
+    head: Vec<u32>,
 }
 
 impl ConflictGraph {
     /// Builds the conflict graph of `boxes` (task `i` owns `boxes[i]`).
     pub fn from_bounding_boxes(boxes: &[Rect]) -> Self {
-        let n = boxes.len();
-        let mut adjacency = vec![Vec::new(); n];
-        if n == 0 {
-            return Self {
-                adjacency,
-                edge_count: 0,
-            };
-        }
+        let grid = BucketGrid::covering(boxes);
 
-        // Bucket size: aim for a few boxes per bucket.
-        let max_x = boxes.iter().map(|b| b.hi.x).max().unwrap_or(0) as usize + 1;
-        let max_y = boxes.iter().map(|b| b.hi.y).max().unwrap_or(0) as usize + 1;
-        let target_buckets = (n as f64).sqrt().ceil() as usize + 1;
-        let bucket_w = (max_x / target_buckets).max(1);
-        let bucket_h = (max_y / target_buckets).max(1);
-        let cols = max_x.div_ceil(bucket_w);
-        let rows = max_y.div_ceil(bucket_h);
-
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); cols * rows];
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
         for (i, b) in boxes.iter().enumerate() {
-            let c0 = b.lo.x as usize / bucket_w;
-            let c1 = b.hi.x as usize / bucket_w;
-            let r0 = b.lo.y as usize / bucket_h;
-            let r1 = b.hi.y as usize / bucket_h;
-            for r in r0..=r1 {
-                for c in c0..=c1 {
-                    buckets[r * cols + c].push(i as u32);
-                }
+            for cell in grid.rows(b).flatten() {
+                buckets[cell].push(i as u32);
             }
         }
 
-        let mut edge_count = 0;
-        let mut seen_pair = std::collections::HashSet::new();
-        for bucket in &buckets {
-            for (k, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[k + 1..] {
-                    let (a, b) = (i.min(j), i.max(j));
-                    if boxes[a as usize].intersects(&boxes[b as usize]) && seen_pair.insert((a, b))
+        // Two boxes' intersection has its lower-left corner in the bucket
+        // at the larger of their first columns and the larger of their
+        // first rows; both boxes cover that bucket, so emitting the pair
+        // there alone emits it exactly once.
+        let first: Vec<(usize, usize)> = boxes.iter().map(|b| grid.first(b)).collect();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for ((row, col), bucket) in grid.positions().zip(&buckets) {
+            for (n, &a) in bucket.iter().enumerate() {
+                let fa = first[a as usize];
+                for &b in &bucket[n + 1..] {
+                    let fb = first[b as usize];
+                    if fa.0.max(fb.0) == col
+                        && fa.1.max(fb.1) == row
+                        && boxes[a as usize].intersects(&boxes[b as usize])
                     {
-                        adjacency[a as usize].push(b);
-                        adjacency[b as usize].push(a);
-                        edge_count += 1;
+                        pairs.push((a, b));
                     }
                 }
             }
         }
-        for adj in &mut adjacency {
-            adj.sort_unstable();
-        }
-        Self {
-            adjacency,
-            edge_count,
-        }
+        Self::from_pairs(boxes.len(), &pairs)
     }
 
     /// Builds the conflict graph by the naive all-pairs scan — the `O(n²)`
@@ -80,31 +62,50 @@ impl ConflictGraph {
     /// against (differentially tested here and by `cargo xtask check`).
     pub fn from_bounding_boxes_naive(boxes: &[Rect]) -> Self {
         let n = boxes.len();
-        let mut adjacency = vec![Vec::new(); n];
-        let mut edge_count = 0;
+        let mut pairs = Vec::new();
         for a in 0..n {
             for b in (a + 1)..n {
                 if boxes[a].intersects(&boxes[b]) {
-                    adjacency[a].push(b as u32);
-                    adjacency[b].push(a as u32);
-                    edge_count += 1;
+                    pairs.push((a as u32, b as u32));
                 }
             }
         }
-        Self {
-            adjacency,
-            edge_count,
+        Self::from_pairs(n, &pairs)
+    }
+
+    /// The CSR graph over `n` tasks with one edge per entry of `pairs`
+    /// (each unordered pair listed once).
+    fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
+        let mut first_out = vec![0usize; n + 1];
+        for &(a, b) in pairs {
+            first_out[a as usize + 1] += 1;
+            first_out[b as usize + 1] += 1;
         }
+        for t in 0..n {
+            first_out[t + 1] += first_out[t];
+        }
+        let mut fill = first_out.clone();
+        let mut head = vec![0u32; first_out[n]];
+        for &(a, b) in pairs {
+            head[fill[a as usize]] = b;
+            fill[a as usize] += 1;
+            head[fill[b as usize]] = a;
+            fill[b as usize] += 1;
+        }
+        for t in 0..n {
+            head[first_out[t]..first_out[t + 1]].sort_unstable();
+        }
+        Self { first_out, head }
     }
 
     /// Number of tasks.
     pub fn task_count(&self) -> usize {
-        self.adjacency.len()
+        self.first_out.len() - 1
     }
 
     /// Number of conflict edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.head.len() / 2
     }
 
     /// The tasks conflicting with `task`, sorted ascending.
@@ -113,12 +114,13 @@ impl ConflictGraph {
     ///
     /// Panics if `task` is out of range.
     pub fn neighbors(&self, task: u32) -> &[u32] {
-        &self.adjacency[task as usize]
+        let t = task as usize;
+        &self.head[self.first_out[t]..self.first_out[t + 1]]
     }
 
     /// Whether tasks `a` and `b` conflict.
     pub fn conflicts(&self, a: u32, b: u32) -> bool {
-        self.adjacency[a as usize].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 }
 
@@ -128,7 +130,7 @@ impl fmt::Display for ConflictGraph {
             f,
             "conflict graph: {} tasks, {} edges",
             self.task_count(),
-            self.edge_count
+            self.edge_count()
         )
     }
 }
@@ -176,16 +178,53 @@ mod tests {
         assert!(g.neighbors(0).is_empty());
     }
 
+    #[test]
+    fn pairs_meeting_on_a_bucket_boundary_are_found_once() {
+        // Intersection corners on the first G-cell of a bucket (0-1), on
+        // the last G-cell of one (0-2), and pairs touching in the single
+        // G-cell that opens a bucket (1-3, 3-4).
+        let s = crate::bucket::BUCKET_SIDE as u16;
+        let boxes = [
+            rect(0, 0, s + 2, s + 2),
+            rect(s, s, 2 * s, 2 * s),
+            rect(s - 1, s - 1, s - 1, 3 * s),
+            rect(2 * s, 2 * s, 3 * s, 3 * s),
+            rect(3 * s, 0, 4 * s, 2 * s),
+        ];
+        let g = ConflictGraph::from_bounding_boxes(&boxes);
+        assert_eq!(g, ConflictGraph::from_bounding_boxes_naive(&boxes));
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.neighbors(1), &[0, 3]);
+        assert_eq!(g.neighbors(2), &[0]);
+        assert_eq!(g.neighbors(3), &[1, 4]);
+        assert_eq!(g.neighbors(4), &[3]);
+        assert_eq!(g.edge_count(), 4);
+    }
+
+    #[test]
+    fn pair_overlapping_in_many_buckets_is_one_edge() {
+        let s = crate::bucket::BUCKET_SIDE as u16;
+        let g = ConflictGraph::from_bounding_boxes(&[
+            rect(0, 0, 10 * s, 10 * s),
+            rect(1, 1, 10 * s + 1, 10 * s + 1),
+        ]);
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(1), &[0]);
+    }
+
     proptest! {
         /// Bucketised construction must agree exactly with the all-pairs
-        /// reference for arbitrary boxes.
+        /// reference for arbitrary boxes, scaled so boxes share buckets or
+        /// span many of them.
         #[test]
         fn matches_all_pairs_reference(
-            raw in proptest::collection::vec((0u16..50, 0u16..50, 0u16..12, 0u16..12), 0..40)
+            raw in proptest::collection::vec((0u16..50, 0u16..50, 0u16..12, 0u16..12), 0..40),
+            scale in 1u16..9
         ) {
             let boxes: Vec<Rect> = raw
                 .iter()
-                .map(|&(x, y, w, h)| rect(x, y, x + w, y + h))
+                .map(|&(x, y, w, h)| rect(x * scale, y * scale, (x + w) * scale, (y + h) * scale))
                 .collect();
             let g = ConflictGraph::from_bounding_boxes(&boxes);
             for i in 0..boxes.len() {

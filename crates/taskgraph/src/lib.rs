@@ -6,9 +6,14 @@
 //! concurrently. This crate provides the full scheduling pipeline:
 //!
 //! * [`ConflictGraph`] — bounding-box conflict detection (bucketised so it
-//!   does not degenerate to all-pairs on big designs);
+//!   does not degenerate to all-pairs on big designs, each pair emitted
+//!   once, adjacency stored as CSR);
 //! * [`extract_batches`] — **Algorithm 1**: greedy maximal independent-set
-//!   batch extraction following a caller-provided net order;
+//!   batch extraction following a caller-provided net order, over a
+//!   conflict graph;
+//! * [`extract_batches_from_boxes`] — the same batches straight from the
+//!   bounding boxes, with no conflict edges built: what the pattern stage
+//!   runs, since it needs the batches and never the edges;
 //! * [`Schedule`] — the **two-stage task graph scheduler**: extract one root
 //!   task batch, then orient every conflict edge (root → non-root, otherwise
 //!   smaller task id → larger), yielding a DAG by construction, with
@@ -44,11 +49,12 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod bucket;
 mod conflict;
 mod executor;
 mod schedule;
 
-pub use batch::extract_batches;
+pub use batch::{extract_batches, extract_batches_from_boxes};
 pub use conflict::ConflictGraph;
 pub use executor::{ExecutionHooks, Executor, ExecutorStats, HookPair, NoHooks, TraceHooks};
 pub use schedule::Schedule;

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{label}");
         println!("  quality:  {}", outcome.metrics);
         println!("  timings:  {}", outcome.timings);
-        println!("  speedup:  {speedup} over the baseline");
+        println!("  speedup:  {speedup} over the baseline (reported seconds)");
         println!("  ripped:   {:?}", outcome.trace.nets_ripped());
         println!();
     }

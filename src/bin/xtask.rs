@@ -6,9 +6,11 @@
 //!   (forbid-unsafe everywhere, no hot-path `unwrap`/`expect`, zero-alloc
 //!   DP bodies) against `lint-allow.txt`;
 //! * `cargo xtask validate` — builds schedules over the design-suite nets
-//!   and proves them sound with the static validator, replays them under
-//!   the happens-before race checker, and routes one design end to end
-//!   with `RouterConfig::validate` on;
+//!   and proves them sound with the static validator, checks the
+//!   bucketised conflict graph against the all-pairs reference and the
+//!   edge-free box-fill batches against the graph-based ones, replays the
+//!   schedules under the happens-before race checker, and routes one
+//!   design end to end with `RouterConfig::validate` on;
 //! * `cargo xtask mutation` — corrupts real schedules (reversed conflict
 //!   edge, merged conflicting batch, forced unordered execution) and
 //!   demands the checkers reject every corruption;
@@ -33,7 +35,9 @@ use fastgr_analysis::{
 use fastgr_core::{Router, RouterConfig};
 use fastgr_design::{Design, Generator, GeneratorParams};
 use fastgr_grid::Rect;
-use fastgr_taskgraph::{extract_batches, ConflictGraph, ExecutionHooks, Executor, Schedule};
+use fastgr_taskgraph::{
+    extract_batches, extract_batches_from_boxes, ConflictGraph, ExecutionHooks, Executor, Schedule,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,10 +105,16 @@ fn design_suite() -> Vec<Design> {
     designs
 }
 
-/// Conflict graph + identity order, as the pattern stage derives them.
-fn conflicts_of(design: &Design) -> (ConflictGraph, Vec<u32>) {
+/// Net bounding boxes + identity order.
+fn boxes_of(design: &Design) -> (Vec<Rect>, Vec<u32>) {
     let bboxes: Vec<Rect> = design.nets().iter().map(|n| n.bounding_box()).collect();
     let order: Vec<u32> = (0..bboxes.len() as u32).collect();
+    (bboxes, order)
+}
+
+/// Conflict graph + identity order, as the pattern stage derives them.
+fn conflicts_of(design: &Design) -> (ConflictGraph, Vec<u32>) {
+    let (bboxes, order) = boxes_of(design);
     (ConflictGraph::from_bounding_boxes(&bboxes), order)
 }
 
@@ -251,7 +261,20 @@ fn validate_trace(path: Option<&str>) -> bool {
 fn validate() -> bool {
     let mut ok = true;
     for design in design_suite() {
-        let (conflicts, order) = conflicts_of(&design);
+        let (bboxes, order) = boxes_of(&design);
+        let conflicts = ConflictGraph::from_bounding_boxes(&bboxes);
+        if conflicts == ConflictGraph::from_bounding_boxes_naive(&bboxes) {
+            println!(
+                "validate {} conflict graph: equals the all-pairs reference",
+                design.name()
+            );
+        } else {
+            eprintln!(
+                "validate {} conflict graph: differs from the all-pairs reference",
+                design.name()
+            );
+            ok = false;
+        }
         let schedule = Schedule::build(&order, &conflicts);
 
         let report = validate_schedule(&schedule, &conflicts);
@@ -262,6 +285,20 @@ fn validate() -> bool {
         let report = validate_batches(&batches, &conflicts);
         println!("validate {} batches: {report}", design.name());
         ok &= report.is_clean();
+
+        // The edge-free box fill the pattern stage runs must be sound and
+        // give exactly the graph-based batches.
+        let box_batches = extract_batches_from_boxes(&order, &bboxes);
+        let report = validate_batches(&box_batches, &conflicts);
+        println!("validate {} box-fill batches: {report}", design.name());
+        ok &= report.is_clean();
+        if box_batches != batches {
+            eprintln!(
+                "validate {} box-fill batches: differ from the graph-based batches",
+                design.name()
+            );
+            ok = false;
+        }
 
         let checker = RaceChecker::new(schedule.task_count());
         Executor::new(4).run_with_hooks(&schedule, |_t| {}, &checker);
