@@ -28,7 +28,7 @@
 
 use std::cell::RefCell;
 
-use fastgr_gpu::flow::{merge_min_rows, vec_mat_min_plus_into, Matrix};
+use fastgr_gpu::flow::merge_min_rows;
 use fastgr_gpu::BlockProfile;
 use fastgr_grid::{CostProber, GridGraph, Point2, Route, Segment, Via};
 use fastgr_steiner::{RouteTree, TreeEdge};
@@ -130,10 +130,11 @@ pub struct DpScratch {
     /// `edge_choice` once complete — the copy keeps borrows disjoint).
     out_cost: Vec<f64>,
     out_choice: Vec<EdgeChoice>,
-    /// Flow operands (Eqs. 5–7 / 11–14).
+    /// Source operand `w1` of the flows (Eqs. 5 / 11).
     w1: Vec<f64>,
-    w2: Matrix,
-    w3: Matrix,
+    /// Via-stack prefix column `V_p[a] = cv(p, 0, a)` of the bend point in
+    /// flight, the operand of [`via_min_plus_into`].
+    via_col: Vec<f64>,
     /// Chain intermediates: best source per bridge layer.
     mid_values: Vec<f64>,
     mid_argmin: Vec<usize>,
@@ -148,13 +149,16 @@ pub struct DpScratch {
     merged_argmin: Vec<usize>,
     /// Candidate bend-point pairs of the Z/hybrid flow.
     pairs: Vec<(Point2, Point2)>,
-    /// Hoisted per-bridge-layer wire terms of the Z/hybrid w2/w3 fills
-    /// (`cw(Bs, Bt, b)` and `cw(Bt, T, b)` depend only on `b`, not on the
-    /// source layer, so they are probed once per layer, not `L` times).
+    /// Per-layer wire terms of a flow's second and third stages
+    /// (`cw(Bs, Bt, b)` and `cw(Bt, T, b)` depend only on the arrival
+    /// layer `b`, so they are probed once per layer).
     run2: Vec<f64>,
     run3: Vec<f64>,
     /// Backtracking stack of `(edge, arrival layer)`.
     bt_stack: Vec<(TreeEdge, u8)>,
+    /// Cost probes issued by the net in flight; reported to the prober
+    /// once per net so probing does no shared write.
+    probes: u64,
 }
 
 impl DpScratch {
@@ -174,8 +178,7 @@ impl DpScratch {
             out_cost: Vec::new(),
             out_choice: Vec::new(),
             w1: Vec::new(),
-            w2: Matrix::filled(1, 1, 0.0),
-            w3: Matrix::filled(1, 1, 0.0),
+            via_col: Vec::new(),
             mid_values: Vec::new(),
             mid_argmin: Vec::new(),
             lane_values: Vec::new(),
@@ -188,6 +191,7 @@ impl DpScratch {
             run2: Vec::new(),
             run3: Vec::new(),
             bt_stack: Vec::new(),
+            probes: 0,
         }
     }
 }
@@ -302,24 +306,43 @@ impl<'g> PatternDp<'g> {
         self.mode
     }
 
-    /// Cost `cw(a, b, l)` of a straight run, from the active cost source.
-    #[inline]
-    fn run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
+    /// The prefix-sum cache costs are read from; `None` for the direct
+    /// engine.
+    fn prober(&self) -> Option<&CostProber> {
         match &self.costs {
-            CostSource::Owned(p) => p.wire_run_cost(l, a, b),
-            CostSource::Borrowed(p) => p.wire_run_cost(l, a, b),
-            CostSource::Direct => self.graph.wire_run_cost_fixed(l, a, b),
+            CostSource::Owned(p) => Some(p),
+            CostSource::Borrowed(p) => Some(p),
+            CostSource::Direct => None,
         }
     }
 
-    /// Cost `cv(p, l1, l2)` of a via stack, from the active cost source.
+    /// Cost `cw(a, b, l)` of a straight run, from the active cost source;
+    /// counts one probe in `probes`.
     #[inline]
-    fn stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
-        match &self.costs {
-            CostSource::Owned(pr) => pr.via_stack_cost(p, l1, l2),
-            CostSource::Borrowed(pr) => pr.via_stack_cost(p, l1, l2),
-            CostSource::Direct => self.graph.via_stack_cost_fixed(p, l1, l2),
+    fn run_cost(&self, probes: &mut u64, l: u8, a: Point2, b: Point2) -> f64 {
+        *probes += 1;
+        match self.prober() {
+            Some(p) => p.wire_run_cost(l, a, b),
+            None => self.graph.wire_run_cost_fixed(l, a, b),
         }
+    }
+
+    /// Cost `cv(p, l1, l2)` of a via stack, from the active cost source;
+    /// counts one probe in `probes`.
+    #[inline]
+    fn stack_cost(&self, probes: &mut u64, p: Point2, l1: u8, l2: u8) -> f64 {
+        *probes += 1;
+        match self.prober() {
+            Some(pr) => pr.via_stack_cost(p, l1, l2),
+            None => self.graph.via_stack_cost_fixed(p, l1, l2),
+        }
+    }
+
+    /// Fills `col` with the via-stack prefix column `col[a] = cv(p, 0, a)`
+    /// of `p` (`l` probes), the operand of [`via_min_plus_into`].
+    fn via_column_into(&self, p: Point2, l: usize, col: &mut Vec<f64>, probes: &mut u64) {
+        col.clear();
+        col.extend((0..l).map(|a| self.stack_cost(probes, p, 0, a as u8)));
     }
 
     /// Extra modeled gather depth per flow entry: the direct engine walks
@@ -367,6 +390,7 @@ impl<'g> PatternDp<'g> {
         out: &mut Route,
     ) -> Option<DpSummary> {
         out.clear();
+        scratch.probes = 0;
         let l = self.graph.num_layers() as usize;
         tree.ordered_edges_into(&mut scratch.dfs_stack, &mut scratch.edges);
         if scratch.edges.is_empty() {
@@ -433,7 +457,12 @@ impl<'g> PatternDp<'g> {
         // Final reduction at the root (Eq. 4 generalised to multi-child
         // roots): pick the via-stack interval covering the root pin.
         let root = tree.root();
-        let (root_total, root_lo, root_hi) = self.root_cost_into(tree, scratch)?;
+        let root_choice = self.root_cost_into(tree, scratch);
+        // Every probe of this net is done: one shared write per block.
+        if let Some(p) = self.prober() {
+            p.add_probes(scratch.probes);
+        }
+        let (root_total, root_lo, root_hi) = root_choice?;
         profile = profile.then(BlockProfile::new(l * l, 2));
 
         // Back-track the geometry.
@@ -508,7 +537,7 @@ impl<'g> PatternDp<'g> {
             let (lo_first, lo_last) = if is_pin { (0u8, 0u8) } else { (1u8, ls as u8) };
             for lo in lo_first..=lo_last {
                 for hi in ls as u8..l as u8 {
-                    let mut total = self.stack_cost(pos, lo, hi);
+                    let mut total = self.stack_cost(&mut scratch.probes, pos, lo, hi);
                     if !total.is_finite() {
                         continue;
                     }
@@ -561,7 +590,7 @@ impl<'g> PatternDp<'g> {
         };
         for lo in lo_first..=lo_last {
             for hi in lo.max(1)..l as u8 {
-                let mut total = self.stack_cost(pos, lo, hi);
+                let mut total = self.stack_cost(&mut scratch.probes, pos, lo, hi);
                 if !total.is_finite() {
                     continue;
                 }
@@ -590,40 +619,35 @@ impl<'g> PatternDp<'g> {
         best.is_finite().then_some((best, best_lo, best_hi))
     }
 
-    /// Degenerate edge whose endpoints share a G-cell: a pure via stack.
-    /// Writes `scratch.out_cost` / `out_choice`.
+    /// Degenerate edge whose endpoints share a G-cell: a pure via stack,
+    /// `c*(lt) = min_ls (cbc(ls) + cv(pos, ls, lt))`. Writes
+    /// `scratch.out_cost` / `out_choice`.
     fn pure_via_into(&self, pos: Point2, scratch: &mut DpScratch) -> BlockProfile {
         let l = scratch.cbc.len();
-        scratch.out_cost.clear();
-        scratch.out_cost.resize(l, f64::INFINITY);
-        scratch.out_choice.clear();
-        scratch.out_choice.resize(
-            l,
-            EdgeChoice {
-                candidate: CAND_PURE_VIA,
-                ls: 0,
-                lb: 0,
-            },
+        self.via_column_into(pos, l, &mut scratch.via_col, &mut scratch.probes);
+        scratch.run2.clear();
+        scratch.run2.resize(l, 0.0);
+        via_min_plus_into(
+            &scratch.cbc,
+            &scratch.via_col,
+            &scratch.run2,
+            &mut scratch.out_cost,
+            &mut scratch.lane_argmin,
         );
-        for lt in 1..l {
-            for (ls, &bottom) in scratch.cbc.iter().enumerate().skip(1) {
-                let c = bottom + self.stack_cost(pos, ls as u8, lt as u8);
-                if c < scratch.out_cost[lt] {
-                    scratch.out_cost[lt] = c;
-                    scratch.out_choice[lt] = EdgeChoice {
-                        candidate: CAND_PURE_VIA,
-                        ls: ls as u8,
-                        lb: 0,
-                    };
-                }
-            }
-        }
+        let (out_choice, lane_argmin) = (&mut scratch.out_choice, &scratch.lane_argmin);
+        out_choice.clear();
+        out_choice.extend(lane_argmin.iter().map(|&ls| EdgeChoice {
+            candidate: CAND_PURE_VIA,
+            ls: ls as u8,
+            lb: 0,
+        }));
         BlockProfile::new(l * l, 2)
     }
 
     /// The GPU-friendly 3-D L-shape flow (Eqs. 5–7, Fig. 8): two bend
-    /// candidates, each an `L x L` min-plus product, merged per target
-    /// layer. Writes `scratch.out_cost` / `out_choice`.
+    /// candidates, each an `L x L` min-plus product (computed as an O(L)
+    /// via-stack sweep), merged per target layer. Writes `scratch.out_cost`
+    /// / `out_choice`.
     fn l_shape_into(&self, ps: Point2, pt: Point2, scratch: &mut DpScratch) -> BlockProfile {
         let l = scratch.cbc.len();
         let bends = [Point2::new(pt.x, ps.y), Point2::new(ps.x, pt.y)];
@@ -633,27 +657,26 @@ impl<'g> PatternDp<'g> {
         scratch.cand_src.resize(2 * l, 0);
         for (ci, &bend) in bends.iter().enumerate() {
             // w1[ls] = cbc(Ps, ls) + cw(Ps, B, ls)            (Eq. 5)
-            let (w1, cbc) = (&mut scratch.w1, &scratch.cbc);
+            let (w1, cbc, probes) = (&mut scratch.w1, &scratch.cbc, &mut scratch.probes);
             w1.clear();
             w1.extend(
                 cbc.iter()
                     .enumerate()
-                    .map(|(ls, &c)| c + self.run_cost(ls as u8, ps, bend)),
+                    .map(|(ls, &c)| c + self.run_cost(probes, ls as u8, ps, bend)),
             );
-            // w2[ls][lt] = cv(B, ls, lt) + cw(B, T, lt)       (Eq. 6)
-            // The wire term depends only on lt: probe it once per target
-            // layer, not once per (ls, lt) cell.
-            scratch.w2.reset(l, l, f64::INFINITY);
-            for lt in 1..l {
-                let wire = self.run_cost(lt as u8, bend, pt);
-                for ls in 0..l {
-                    scratch.w2[(ls, lt)] = self.stack_cost(bend, ls as u8, lt as u8) + wire;
-                }
-            }
+            // w2[ls][lt] = cv(B, ls, lt) + cw(B, T, lt)       (Eq. 6);
+            // lane 0 (no arrival on the pin layer) is never read.
+            scratch.run3.clear();
+            scratch.run3.push(f64::INFINITY);
+            scratch
+                .run3
+                .extend((1..l).map(|lt| self.run_cost(probes, lt as u8, bend, pt)));
+            self.via_column_into(bend, l, &mut scratch.via_col, probes);
             // c*(lt) = min_ls (w1[ls] + w2[ls][lt])           (Eq. 7)
-            vec_mat_min_plus_into(
+            via_min_plus_into(
                 &scratch.w1,
-                &scratch.w2,
+                &scratch.via_col,
+                &scratch.run3,
                 &mut scratch.lane_values,
                 &mut scratch.lane_argmin,
             );
@@ -739,48 +762,40 @@ impl<'g> PatternDp<'g> {
         for ci in 0..n_pairs {
             let (bs, bt) = scratch.pairs[ci];
             // w1[ls] = cbc + cw(Ps, Bs, ls)                   (Eq. 11)
-            let (w1, cbc) = (&mut scratch.w1, &scratch.cbc);
+            let (w1, cbc, probes) = (&mut scratch.w1, &scratch.cbc, &mut scratch.probes);
             w1.clear();
             w1.extend(
                 cbc.iter()
                     .enumerate()
-                    .map(|(ls, &c)| c + self.run_cost(ls as u8, ps, bs)),
+                    .map(|(ls, &c)| c + self.run_cost(probes, ls as u8, ps, bs)),
             );
-            // The wire terms of w2/w3 depend only on the bridge/target
-            // layer `b`, not on `a`: probe them once per layer instead of
-            // L times inside the L x L fills.
             scratch.run2.clear();
             scratch
                 .run2
-                .extend((0..l).map(|b| self.run_cost(b as u8, bs, bt)));
+                .extend((0..l).map(|b| self.run_cost(probes, b as u8, bs, bt)));
             scratch.run3.clear();
             scratch
                 .run3
-                .extend((0..l).map(|b| self.run_cost(b as u8, bt, pt)));
-            // w2[ls][lb] = cv(Bs, ls, lb) + cw(Bs, Bt, lb)    (Eq. 12)
-            scratch.w2.reset(l, l, f64::INFINITY);
-            // w3[lb][lt] = cv(Bt, lb, lt) + cw(Bt, T, lt)     (Eq. 13)
-            scratch.w3.reset(l, l, f64::INFINITY);
-            for a in 0..l {
-                for b in 1..l {
-                    scratch.w2[(a, b)] =
-                        self.stack_cost(bs, a as u8, b as u8) + scratch.run2[b];
-                    scratch.w3[(a, b)] =
-                        self.stack_cost(bt, a as u8, b as u8) + scratch.run3[b];
-                }
-            }
+                .extend((0..l).map(|b| self.run_cost(probes, b as u8, bt, pt)));
             // c*(i)(lt) = min_{ls, lb} (w1 + w2 + w3)          (Eq. 14):
-            // stage 1 reduces sources per bridge, stage 2 bridges per
-            // target — together the chain min-plus of `chain_min_plus`.
-            vec_mat_min_plus_into(
+            // stage 1 reduces sources per bridge through
+            // w2[ls][lb] = cv(Bs, ls, lb) + cw(Bs, Bt, lb)    (Eq. 12),
+            // stage 2 bridges per target through
+            // w3[lb][lt] = cv(Bt, lb, lt) + cw(Bt, T, lt)     (Eq. 13) —
+            // together the chain min-plus of `chain_min_plus`.
+            self.via_column_into(bs, l, &mut scratch.via_col, probes);
+            via_min_plus_into(
                 &scratch.w1,
-                &scratch.w2,
+                &scratch.via_col,
+                &scratch.run2,
                 &mut scratch.mid_values,
                 &mut scratch.mid_argmin,
             );
-            vec_mat_min_plus_into(
+            self.via_column_into(bt, l, &mut scratch.via_col, &mut scratch.probes);
+            via_min_plus_into(
                 &scratch.mid_values,
-                &scratch.w3,
+                &scratch.via_col,
+                &scratch.run3,
                 &mut scratch.lane_values,
                 &mut scratch.lane_argmin,
             );
@@ -896,6 +911,68 @@ impl<'g> PatternDp<'g> {
     }
 }
 
+/// Via-stack min-plus sweep: the O(L) form of one `L x L` flow stage
+/// (Eqs. 6–7, 12–14),
+/// `values[b] = min_a (w[a] + cv(p, a, b)) + wire[b]` for `b` in `1..L`,
+/// where `col[a] = cv(p, 0, a)` is `p`'s via-stack prefix column, so
+/// `cv(p, a, b) = col[max(a, b)] - col[min(a, b)]`. The minimum splits into
+/// a prefix minimum of `w[a] - col[a]` over `a <= b`, plus `col[b]`, and a
+/// suffix minimum of `w[a] + col[a]` over `a > b`, minus `col[b]`.
+///
+/// `argmin[b]` is the lowest winning `a`, as in
+/// [`fastgr_gpu::flow::vec_mat_min_plus_into`] over the materialised
+/// matrix. Lane 0 (no arrival on the pin layer) and every infinite lane hold
+/// `INFINITY` with argmin 0.
+///
+/// Exactness: every operand is an integer multiple of 2^-20 (the Q44.20 cost
+/// domain) far below 2^33 in magnitude, so every add and subtract here is
+/// exact in `f64` and the reassociated sums are bit-identical to the matrix
+/// form.
+fn via_min_plus_into(
+    w: &[f64],
+    col: &[f64],
+    wire: &[f64],
+    values: &mut Vec<f64>,
+    argmin: &mut Vec<usize>,
+) {
+    let l = w.len();
+    debug_assert!(l > 0 && col.len() == l && wire.len() == l);
+    values.clear();
+    argmin.clear();
+    // Prefix pass (`a <= b`): strict `<` keeps the lowest winning `a`.
+    let (mut best, mut arg) = (f64::INFINITY, 0);
+    for b in 0..l {
+        let v = w[b] - col[b];
+        if v < best {
+            best = v;
+            arg = b;
+        }
+        values.push(best + col[b]);
+        argmin.push(arg);
+    }
+    // Suffix pass (`a > b`): `<=` keeps the lowest winning `a`, and the
+    // prefix candidate (a lower index) wins ties against it.
+    let (mut best, mut arg) = (f64::INFINITY, 0);
+    for b in (1..l).rev() {
+        let v = best - col[b];
+        if v < values[b] {
+            values[b] = v;
+            argmin[b] = arg;
+        }
+        values[b] += wire[b];
+        if values[b] == f64::INFINITY {
+            argmin[b] = 0;
+        }
+        let own = w[b] + col[b];
+        if own <= best {
+            best = own;
+            arg = b;
+        }
+    }
+    values[0] = f64::INFINITY;
+    argmin[0] = 0;
+}
+
 /// Brute-force reference for tests: enumerate every L-shape combination of
 /// one two-pin net with both endpoints pins, no children. Uses the
 /// quantised (`_fixed`) grid walks — the arithmetic domain the DP's cost
@@ -922,10 +999,48 @@ fn brute_force_two_pin_l(graph: &GridGraph, ps: Point2, pt: Point2) -> f64 {
     best
 }
 
+/// Brute-force reference for tests: enumerate every Z/hybrid combination
+/// (bend pair × `ls` × `lb` × `lt`) of one two-pin net from child pin `ps`
+/// to parent pin `pt`, with pin-access stacks at both ends, in the
+/// candidate order of [`PatternDp::z_or_hybrid_into`] (`z_only` drops the
+/// pairs whose target bend is `pt`). Same quantised walks as
+/// [`brute_force_two_pin_l`], so the comparison is exact.
+#[cfg(test)]
+fn brute_force_two_pin_z(graph: &GridGraph, ps: Point2, pt: Point2, z_only: bool) -> f64 {
+    let l = graph.num_layers();
+    let (x0, x1) = (ps.x.min(pt.x), ps.x.max(pt.x));
+    let (y0, y1) = (ps.y.min(pt.y), ps.y.max(pt.y));
+    let hvh = (x0..=x1)
+        .filter(|&mx| !(z_only && mx == pt.x))
+        .map(|mx| (Point2::new(mx, ps.y), Point2::new(mx, pt.y)));
+    let vhv = (y0..=y1)
+        .filter(|&my| !(z_only && my == pt.y))
+        .map(|my| (Point2::new(ps.x, my), Point2::new(pt.x, my)));
+    let mut best = f64::INFINITY;
+    for (bs, bt) in hvh.chain(vhv) {
+        for ls in 1..l {
+            for lb in 1..l {
+                for lt in 1..l {
+                    let c = graph.via_stack_cost_fixed(ps, 0, ls)
+                        + graph.wire_run_cost_fixed(ls, ps, bs)
+                        + graph.via_stack_cost_fixed(bs, ls, lb)
+                        + graph.wire_run_cost_fixed(lb, bs, bt)
+                        + graph.via_stack_cost_fixed(bt, lb, lt)
+                        + graph.wire_run_cost_fixed(lt, bt, pt)
+                        + graph.via_stack_cost_fixed(pt, 0, lt);
+                    best = best.min(c);
+                }
+            }
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fastgr_design::{Net, NetId, Pin};
+    use fastgr_gpu::flow::{vec_mat_min_plus_into, Matrix};
     use fastgr_grid::CostParams;
     use fastgr_steiner::SteinerBuilder;
     use proptest::prelude::*;
@@ -964,6 +1079,42 @@ mod tests {
             r.cost,
             expect
         );
+    }
+
+    #[test]
+    fn two_pin_z_and_hybrid_match_brute_force() {
+        // A congested grid: blocked rows and columns on several layers plus
+        // via demand at the bend candidates, so the optimum is a real Z
+        // through mixed layers, not the quiet-grid default.
+        let mut g = graph(14, 12, 6);
+        let mut blocker = Route::new();
+        blocker.push_segment(Segment::new(1, Point2::new(0, 3), Point2::new(13, 3)));
+        blocker.push_segment(Segment::new(3, Point2::new(2, 8), Point2::new(11, 8)));
+        blocker.push_segment(Segment::new(2, Point2::new(6, 0), Point2::new(6, 11)));
+        blocker.push_segment(Segment::new(4, Point2::new(9, 1), Point2::new(9, 10)));
+        blocker.push_via(Via::new(Point2::new(5, 3), 0, 4));
+        blocker.push_via(Via::new(Point2::new(9, 8), 1, 5));
+        for _ in 0..7 {
+            g.commit(&blocker).expect("valid");
+        }
+        for (a, b) in [
+            ((2, 3), (11, 8)),
+            ((11, 2), (1, 9)),
+            ((0, 0), (13, 11)),
+            ((4, 5), (4, 10)),
+            ((3, 8), (12, 8)),
+            ((9, 1), (8, 2)),
+        ] {
+            let tree = SteinerBuilder::new().build(&net_of(&[a, b]));
+            let root = tree.root();
+            let ps = tree.node(tree.node(root).children[0]).position;
+            let pt = tree.node(root).position;
+            for (mode, z_only) in [(PatternMode::ZShape, true), (PatternMode::HybridAll, false)] {
+                let dp = PatternDp::new(&g, mode).route_net(&tree).expect("routable");
+                let expect = brute_force_two_pin_z(&g, ps, pt, z_only);
+                assert_eq!(dp.cost, expect, "{mode:?} {a:?} -> {b:?}");
+            }
+        }
     }
 
     #[test]
@@ -1191,6 +1342,60 @@ mod tests {
                 let fresh_route = dp.route_net(&tree).expect("routable").route;
                 assert_eq!(recycled, fresh_route, "{mode:?} {pts:?}: routes diverge");
             }
+        }
+    }
+
+    /// A Q44.20-quantised cost drawn from `(kind, coarse, fine)`: coarse
+    /// values (many ties), fine values, or infinity.
+    fn quantised_cost((kind, coarse, fine): (u8, u64, u64)) -> f64 {
+        match kind {
+            0..=3 => coarse as f64 / 4.0,
+            4 => fine as f64 / (1u64 << 20) as f64,
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// Raw draws of one cost lane for [`quantised_cost`].
+    fn arb_cost() -> impl Strategy<Value = (u8, u64, u64)> {
+        (0u8..6, 0u64..12, 0u64..1 << 32)
+    }
+
+    proptest! {
+        // Cheap cases; many of them so ties inside the suffix sweep occur.
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn via_sweep_matches_materialised_min_plus(
+            l in 3usize..11,
+            w_raw in proptest::collection::vec(arb_cost(), 10),
+            hop_raw in proptest::collection::vec((0u8..3, 0u64..3, 0u64..1 << 24), 9),
+            wire_raw in proptest::collection::vec(arb_cost(), 10),
+        ) {
+            // `w[0]` is infinite like `cbc(Ps, 0)`; the via column is a
+            // nondecreasing quantised prefix sum of coarse or fine hops.
+            let mut w = vec![f64::INFINITY];
+            w.extend(w_raw[1..l].iter().map(|&c| quantised_cost(c)));
+            let wire: Vec<f64> = wire_raw[..l].iter().map(|&c| quantised_cost(c)).collect();
+            let mut raw = 0u64;
+            let mut col = vec![0.0];
+            for &(kind, coarse, fine) in &hop_raw[..l - 1] {
+                raw += if kind < 2 { coarse << 18 } else { fine };
+                col.push(raw as f64 / (1u64 << 20) as f64);
+            }
+            // Oracle: the paper's materialised `L x L` flow matrix,
+            // `m[a][b] = cv(p, a, b) + wire[b]`, column 0 infinite.
+            let mut m = Matrix::filled(l, l, f64::INFINITY);
+            for a in 0..l {
+                for b in 1..l {
+                    m[(a, b)] = (col[a.max(b)] - col[a.min(b)]) + wire[b];
+                }
+            }
+            let (mut want, mut want_arg) = (Vec::new(), Vec::new());
+            vec_mat_min_plus_into(&w, &m, &mut want, &mut want_arg);
+            let (mut got, mut got_arg) = (Vec::new(), Vec::new());
+            via_min_plus_into(&w, &col, &wire, &mut got, &mut got_arg);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(got_arg, want_arg);
         }
     }
 

@@ -57,22 +57,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
-
-    /// Reshapes the matrix to `rows x cols` with every entry set to
-    /// `fill`, reusing the existing allocation. This is the zero-alloc
-    /// (in steady state) counterpart of [`Matrix::filled`] for scratch
-    /// matrices that are rebuilt per edge in the pattern DP.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn reset(&mut self, rows: usize, cols: usize, fill: f64) {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, fill);
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -373,18 +357,6 @@ mod tests {
         merge_min_rows(&flat, 2, &mut values, &mut argmin);
         assert_eq!(values, reference.values);
         assert_eq!(argmin, reference.argmin);
-    }
-
-    #[test]
-    fn matrix_reset_reshapes_and_refills() {
-        let mut m = Matrix::filled(2, 2, 1.0);
-        m[(0, 1)] = 9.0;
-        m.reset(3, 4, f64::INFINITY);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
-        assert!(m.row(0).iter().all(|v| v.is_infinite()));
-        m.reset(1, 1, 0.0);
-        assert_eq!(m[(0, 0)], 0.0);
     }
 
     #[test]

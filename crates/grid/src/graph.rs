@@ -520,6 +520,11 @@ impl GridGraph {
         self.edge_offsets[l]
     }
 
+    /// Whether wire edge `i` of layer `l` is in the dirty set.
+    pub(crate) fn wire_edge_dirty(&self, l: usize, i: usize) -> bool {
+        self.dirty.is_set(self.edge_offsets[l] + i)
+    }
+
     /// Raw words of the wire-edge dirty bitset (for dirty harvesting).
     pub(crate) fn dirty_words(&self) -> &[AtomicU64] {
         &self.dirty.words

@@ -28,7 +28,8 @@
 //! snapshot, matching the paper's batch semantics. [`CostProber::refresh`]
 //! consumes the grid's [`DirtyTracker`](GridGraph::dirty_edges) bitsets to
 //! re-sum only the rows/columns/via stacks whose demand changed since the
-//! last refresh — O(changed rows), not O(grid).
+//! last refresh — O(changed rows), not O(grid) — and re-costs only the
+//! changed edges inside them.
 //!
 //! **Caveat**: demand commits are dirty-tracked; history and capacity
 //! mutations ([`GridGraph::add_history_on_overflow`],
@@ -43,16 +44,6 @@ use fastgr_gpu::HostPool;
 use crate::graph::fixed_cost_to_f64;
 use crate::layer::Direction;
 use crate::{GridGraph, Point2};
-
-/// A relaxed counter alone on its cache lines (128 bytes covers the
-/// adjacent-line prefetch pair). Every probe bumps it from whichever pool
-/// worker runs the probe; unpadded, it shared a line with the prober's
-/// read-only fields, so each bump evicted those fields from the other
-/// worker's cache and probe cost depended on where the prober landed in
-/// memory.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct PaddedCounter(AtomicU64);
 
 /// Reusable dirty-harvest scratch; sized once at build so the steady-state
 /// [`CostProber::refresh`] path allocates nothing.
@@ -117,8 +108,10 @@ pub struct CostProber {
     /// layers contribute `height` rows, vertical layers `width` columns);
     /// length `layers + 1`.
     row_off: Vec<usize>,
-    /// Number of probes served (diagnostic counter, relaxed).
-    probes: PaddedCounter,
+    /// Number of probes reported through [`CostProber::add_probes`]
+    /// (diagnostic counter, relaxed; written once per DP block, not per
+    /// probe, so it needs no cache line of its own).
+    probes: AtomicU64,
     /// Number of builds + refreshes performed.
     builds: u64,
     /// Total rows/columns/via stacks re-summed across all builds.
@@ -160,7 +153,7 @@ impl CostProber {
             wire_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
             via_pref: (0..layers * wh).map(|_| AtomicU64::new(0)).collect(),
             row_off,
-            probes: PaddedCounter::default(),
+            probes: AtomicU64::new(0),
             builds: 0,
             rows_rebuilt: 0,
             scratch: RebuildScratch {
@@ -180,7 +173,7 @@ impl CostProber {
     fn rebuild_all(&mut self, graph: &GridGraph, pool: &HostPool) {
         let total_rows = self.row_off[self.layers];
         let this: &Self = self;
-        pool.for_each(total_rows, |r| this.rebuild_wire_row_into(graph, r));
+        pool.for_each(total_rows, |r| this.rebuild_wire_row_into(graph, r, false));
         pool.for_each(self.wh, |pos| this.rebuild_via_column_into(graph, pos));
         self.builds += 1;
         self.rows_rebuilt += (total_rows + self.wh) as u64;
@@ -189,6 +182,9 @@ impl CostProber {
     /// Incrementally refreshes the cache against `graph`'s current demand,
     /// re-summing only the rows/columns and via stacks marked dirty since
     /// the last [`GridGraph::clear_dirty`], then clears the dirty bitsets.
+    /// Inside a dirty row only the dirty edges are re-costed; the clean ones
+    /// keep the cost their old prefix cells encode, so every demand change
+    /// since the last build or refresh must be dirty-tracked.
     ///
     /// Steady-state allocation-free: the harvest buffers are sized at build
     /// time and reused. Rebuilds run in parallel on `pool`.
@@ -248,7 +244,7 @@ impl CostProber {
         let this: &Self = self;
         let g: &GridGraph = graph;
         pool.for_each(this.scratch.rows.len(), |i| {
-            this.rebuild_wire_row_into(g, this.scratch.rows[i] as usize);
+            this.rebuild_wire_row_into(g, this.scratch.rows[i] as usize, true);
         });
         pool.for_each(this.scratch.via_cells.len(), |i| {
             this.rebuild_via_column_into(g, this.scratch.via_cells[i] as usize);
@@ -259,35 +255,37 @@ impl CostProber {
     }
 
     /// Re-sums one global wire row/column's prefix cells from `graph`.
-    fn rebuild_wire_row_into(&self, graph: &GridGraph, global_row: usize) {
+    ///
+    /// With `incremental`, only edges whose dirty bit is set are re-costed
+    /// (the logistic `exp` of [`GridGraph::wire_edge_cost_fixed_at`]); a
+    /// clean edge's cost is the difference of its two old prefix cells.
+    /// That is exact because between full builds an edge's cost changes
+    /// only through its demand, and every demand change sets its dirty bit
+    /// (see the module caveat). Each old cell is read before it is
+    /// overwritten.
+    fn rebuild_wire_row_into(&self, graph: &GridGraph, global_row: usize, incremental: bool) {
         let mut layer = self.layers - 1;
         while self.row_off[layer] > global_row {
             layer -= 1;
         }
         let r = global_row - self.row_off[layer];
-        let (w, h) = (self.width, self.height);
-        let mut acc = 0u64;
-        match self.dirs[layer] {
-            Direction::Horizontal => {
-                let ebase = r * (w - 1);
-                let pbase = layer * self.wh + r * w;
-                for x in 0..w {
-                    self.wire_pref[pbase + x].store(acc, Ordering::Relaxed);
-                    if x + 1 < w {
-                        acc += graph.wire_edge_cost_fixed_at(layer, ebase + x);
-                    }
-                }
-            }
-            Direction::Vertical => {
-                let ebase = r * (h - 1);
-                let pbase = layer * self.wh + r * h;
-                for y in 0..h {
-                    self.wire_pref[pbase + y].store(acc, Ordering::Relaxed);
-                    if y + 1 < h {
-                        acc += graph.wire_edge_cost_fixed_at(layer, ebase + y);
-                    }
-                }
-            }
+        let len = match self.dirs[layer] {
+            Direction::Horizontal => self.width,
+            Direction::Vertical => self.height,
+        };
+        let ebase = r * (len - 1);
+        let cells = &self.wire_pref[layer * self.wh + r * len..][..len];
+        // The first cell of a row is always 0, old and new.
+        let (mut acc, mut old) = (0u64, 0u64);
+        for (i, pair) in cells.windows(2).enumerate() {
+            let next_old = pair[1].load(Ordering::Relaxed);
+            acc += if incremental && !graph.wire_edge_dirty(layer, ebase + i) {
+                next_old - old
+            } else {
+                graph.wire_edge_cost_fixed_at(layer, ebase + i)
+            };
+            pair[1].store(acc, Ordering::Relaxed);
+            old = next_old;
         }
     }
 
@@ -311,7 +309,6 @@ impl CostProber {
     /// grid or fight the layer's preferred direction, exactly like the
     /// naive walk.
     pub fn wire_run_cost(&self, l: u8, a: Point2, b: Point2) -> f64 {
-        self.probes.0.fetch_add(1, Ordering::Relaxed);
         if a == b {
             return 0.0;
         }
@@ -357,7 +354,6 @@ impl CostProber {
     ///
     /// Returns 0 when `l1 == l2`; `f64::INFINITY` when out of range.
     pub fn via_stack_cost(&self, p: Point2, l1: u8, l2: u8) -> f64 {
-        self.probes.0.fetch_add(1, Ordering::Relaxed);
         let (lo, hi) = (l1.min(l2) as usize, l1.max(l2) as usize);
         if hi >= self.layers || p.x as usize >= self.width || p.y as usize >= self.height {
             return f64::INFINITY;
@@ -368,9 +364,18 @@ impl CostProber {
         fixed_cost_to_f64(raw)
     }
 
-    /// Number of probes served since construction.
+    /// Adds `n` probes to the diagnostic counter. Probes are pure reads;
+    /// callers count their own (the pattern DP counts per block in its
+    /// scratch) and report the total once, so the hot path does no shared
+    /// write per probe.
+    pub fn add_probes(&self, n: u64) {
+        self.probes.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Number of probes reported through [`CostProber::add_probes`] since
+    /// construction.
     pub fn probes(&self) -> u64 {
-        self.probes.0.load(Ordering::Relaxed)
+        self.probes.load(Ordering::Relaxed)
     }
 
     /// Number of cache builds + incremental refreshes performed.
@@ -497,11 +502,15 @@ mod tests {
 
     #[test]
     fn probe_counter_counts() {
+        // Probes are pure reads; only reported totals move the counter.
         let g = graph();
         let prober = CostProber::build(&g);
         assert_eq!(prober.probes(), 0);
         prober.wire_run_cost(1, Point2::new(0, 0), Point2::new(3, 0));
         prober.via_stack_cost(Point2::new(0, 0), 0, 2);
-        assert_eq!(prober.probes(), 2);
+        assert_eq!(prober.probes(), 0);
+        prober.add_probes(2);
+        prober.add_probes(5);
+        assert_eq!(prober.probes(), 7);
     }
 }

@@ -49,41 +49,60 @@ fn arb_route() -> impl Strategy<Value = Route> {
         })
 }
 
-/// Asserts every legal wire run and via stack probes bit-identically to the
-/// naive quantised walk.
-fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
+/// Calls `wire` for every legal wire run ending at the grid edge and `via`
+/// for every via stack of the test grid.
+fn for_each_probe(mut wire: impl FnMut(u8, Point2, Point2), mut via: impl FnMut(Point2, u8, u8)) {
     for l in 0..LAYERS {
         if l % 2 == 1 {
             for y in 0..H {
                 for x0 in 0..W {
-                    let a = Point2::new(x0, y);
-                    let b = Point2::new(W - 1, y);
-                    assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost_fixed(l, a, b));
+                    wire(l, Point2::new(x0, y), Point2::new(W - 1, y));
                 }
             }
         } else {
             for x in 0..W {
                 for y0 in 0..H {
-                    let a = Point2::new(x, y0);
-                    let b = Point2::new(x, H - 1);
-                    assert_eq!(prober.wire_run_cost(l, a, b), g.wire_run_cost_fixed(l, a, b));
+                    wire(l, Point2::new(x, y0), Point2::new(x, H - 1));
                 }
             }
         }
     }
     for x in 0..W {
         for y in 0..H {
-            let p = Point2::new(x, y);
             for lo in 0..LAYERS {
                 for hi in lo..LAYERS {
-                    assert_eq!(
-                        prober.via_stack_cost(p, lo, hi),
-                        g.via_stack_cost_fixed(p, lo, hi)
-                    );
+                    via(Point2::new(x, y), lo, hi);
                 }
             }
         }
     }
+}
+
+/// Asserts every legal wire run and via stack probes bit-identically to the
+/// naive quantised walk.
+fn assert_probes_match(prober: &CostProber, g: &GridGraph) {
+    for_each_probe(
+        |l, a, b| {
+            assert_eq!(
+                prober.wire_run_cost(l, a, b),
+                g.wire_run_cost_fixed(l, a, b)
+            )
+        },
+        |p, lo, hi| {
+            assert_eq!(
+                prober.via_stack_cost(p, lo, hi),
+                g.via_stack_cost_fixed(p, lo, hi)
+            )
+        },
+    );
+}
+
+/// Asserts two probers answer every probe of the test grid identically.
+fn assert_probers_equal(a: &CostProber, b: &CostProber) {
+    for_each_probe(
+        |l, p, q| assert_eq!(a.wire_run_cost(l, p, q), b.wire_run_cost(l, p, q)),
+        |p, lo, hi| assert_eq!(a.via_stack_cost(p, lo, hi), b.via_stack_cost(p, lo, hi)),
+    );
 }
 
 proptest! {
@@ -135,5 +154,42 @@ proptest! {
         prober.refresh(&mut g, &pool);
         assert_probes_match(&prober, &g);
         prop_assert_eq!(g.dirty_edges(), 0);
+    }
+
+    /// Several update rounds with a refresh after each: a refresh re-costs
+    /// only dirty edges and takes the clean ones from the previous round's
+    /// prefix cells, so every round must still equal a fresh build.
+    /// Uncommits pick routes committed in earlier rounds.
+    #[test]
+    fn refresh_after_every_round_equals_fresh_build(
+        initial in proptest::collection::vec(arb_route(), 0..6),
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((arb_route(), 0u8..3, 0usize..64), 1..5),
+            2..5,
+        ),
+        workers in 1usize..4,
+    ) {
+        let mut g = graph();
+        let mut committed = initial;
+        for r in &committed {
+            g.commit(r).expect("valid route");
+        }
+        g.clear_dirty();
+        let pool = HostPool::new(workers);
+        let mut prober = CostProber::build_with_pool(&g, &pool);
+        for round in rounds {
+            for (r, action, pick) in round {
+                if action == 0 && !committed.is_empty() {
+                    let old = committed.swap_remove(pick % committed.len());
+                    g.uncommit(&old).expect("valid route");
+                } else {
+                    g.commit(&r).expect("valid route");
+                    committed.push(r);
+                }
+            }
+            prober.refresh(&mut g, &pool);
+            assert_probers_equal(&prober, &CostProber::build(&g));
+            prop_assert_eq!(g.dirty_edges(), 0);
+        }
     }
 }

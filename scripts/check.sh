@@ -37,6 +37,13 @@ cargo xtask validate-trace "$trace_tmp/trace.json"
 echo "== probe equivalence =="
 cargo test -q -p fastgr-core --test probe_equivalence
 
+echo "== pattern stage determinism across worker counts =="
+FASTGR_WORKERS=1 target/release/fastgr route s19t9 --preset fastgr-h --iterations 0 \
+    --guides "$trace_tmp/guides_w1.txt" >/dev/null
+FASTGR_WORKERS=2 target/release/fastgr route s19t9 --preset fastgr-h --iterations 0 \
+    --guides "$trace_tmp/guides_w2.txt" >/dev/null
+cmp "$trace_tmp/guides_w1.txt" "$trace_tmp/guides_w2.txt"
+
 echo "== pattern bench smoke =="
 cargo build --release -p fastgr-bench
 target/release/bench_pattern --workers 2 --out "$trace_tmp/BENCH_pattern.json" >/dev/null
