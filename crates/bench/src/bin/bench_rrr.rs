@@ -18,7 +18,9 @@
 //! invariant is asserted: uncommitting all final routes from a clone of
 //! the grid must leave exactly zero demand — the lock-free fixed-point
 //! congestion store may never drift, whatever the interleaving. The
-//! binary aborts if it does.
+//! binary aborts if it does. Each run also records the maze search work
+//! (`maze_expanded` vertices expanded, `maze_pushes` priority-queue
+//! pushes), which repeats exactly for the serial strategies.
 
 use std::env;
 use std::fmt::Write as _;
@@ -47,6 +49,8 @@ struct Run {
     ripped_total: usize,
     dirty_edges: u64,
     rescans_avoided: u64,
+    maze_expanded: u64,
+    maze_pushes: u64,
     overflow_before: f64,
     overflow_after: f64,
 }
@@ -194,7 +198,8 @@ fn main() -> ExitCode {
                 let overflow_after = graph.report().overflow;
                 println!(
                     "{:10} {:13} x{:<2} host {:8.3}s  modeled {:8.3}s  ripped {:5}  \
-                     dirty {:7}  rescans avoided {:7}  overflow {:9.1} -> {:9.1}",
+                     dirty {:7}  rescans avoided {:7}  maze expanded {:9}  pushes {:9}  \
+                     overflow {:9.1} -> {:9.1}",
                     design.name(),
                     strategy_name,
                     workers,
@@ -203,6 +208,8 @@ fn main() -> ExitCode {
                     outcome.nets_ripped.iter().sum::<usize>(),
                     outcome.dirty_edges,
                     outcome.rescans_avoided,
+                    outcome.maze_expanded,
+                    outcome.maze_pushes,
                     overflow_before,
                     overflow_after,
                 );
@@ -216,6 +223,8 @@ fn main() -> ExitCode {
                     ripped_total: outcome.nets_ripped.iter().sum(),
                     dirty_edges: outcome.dirty_edges,
                     rescans_avoided: outcome.rescans_avoided,
+                    maze_expanded: outcome.maze_expanded,
+                    maze_pushes: outcome.maze_pushes,
                     overflow_before,
                     overflow_after,
                 });
@@ -238,6 +247,7 @@ fn main() -> ExitCode {
             "    {{\"design\": \"{}\", \"nets\": {}, \"strategy\": \"{}\", \"workers\": {}, \
              \"host_seconds\": {:.6}, \"modeled_parallel_seconds\": {:.6}, \
              \"nets_ripped\": {}, \"dirty_edges\": {}, \"full_rescan_avoided\": {}, \
+             \"maze_expanded\": {}, \"maze_pushes\": {}, \
              \"overflow_before\": {:.3}, \"overflow_after\": {:.3}}}{}",
             r.design,
             r.nets,
@@ -248,6 +258,8 @@ fn main() -> ExitCode {
             r.ripped_total,
             r.dirty_edges,
             r.rescans_avoided,
+            r.maze_expanded,
+            r.maze_pushes,
             r.overflow_before,
             r.overflow_after,
             if i + 1 < runs.len() { "," } else { "" },

@@ -382,6 +382,7 @@ impl Router {
         trace.set_pattern_summary(pattern.batch_count, pattern_shorts);
         trace.set_rrr_nets_ripped(rrr.nets_ripped);
         trace.set_rrr_scan_summary(rrr.dirty_edges, rrr.rescans_avoided);
+        trace.set_rrr_maze_work(rrr.maze_expanded, rrr.maze_pushes);
         Ok(RoutingOutcome {
             routes,
             guides,

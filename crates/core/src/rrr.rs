@@ -27,7 +27,7 @@ use std::cell::RefCell;
 
 use fastgr_design::Design;
 use fastgr_grid::{GridGraph, Point2, Rect, Route};
-use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch};
+use fastgr_maze::{MazeConfig, MazeError, MazeRouter, MazeScratch, MazeStats};
 use fastgr_taskgraph::{
     extract_batches_from_boxes, ConflictGraph, Executor, HookPair, Schedule, TraceHooks,
 };
@@ -67,6 +67,12 @@ pub struct RrrOutcome {
     /// over iterations (each one a full `route_has_overflow` walk the old
     /// `O(nets x route-length)` scan would have paid).
     pub rescans_avoided: u64,
+    /// Maze vertices expanded, summed over the routing call that produced
+    /// each rerouted net's route in every iteration (a failed first try in
+    /// the default window reports no statistics and is not counted).
+    pub maze_expanded: u64,
+    /// Maze priority-queue pushes, summed like `maze_expanded`.
+    pub maze_pushes: u64,
 }
 
 /// The rip-up-and-reroute stage.
@@ -109,6 +115,8 @@ const BARRIER_SYNC_SECONDS: f64 = 50e-6;
 #[derive(Debug, Default)]
 struct TaskSlot {
     seconds: f64,
+    /// Search work of the task's routing calls.
+    maze: MazeStats,
     route: Route,
     error: Option<MazeError>,
 }
@@ -149,10 +157,10 @@ impl RrrStage {
     }
 
     /// [`RrrStage::run`] reporting into a telemetry recorder: one
-    /// `rrr.iterN` span, a `rrr.nets_ripped` counter sample and a
-    /// `rrr.dirty_edges` / `rrr.full_rescan_avoided` counter pair per
-    /// iteration, plus per-task events from the executor (task-graph
-    /// strategy). With a disabled recorder this is exactly
+    /// `rrr.iterN` span, a `rrr.nets_ripped` counter sample, a
+    /// `rrr.maze_expanded` / `rrr.maze_pushes` pair and a
+    /// `rrr.dirty_edges` / `rrr.full_rescan_avoided` pair per iteration,
+    /// plus per-task events from the executor (task-graph strategy). With a disabled recorder this is exactly
     /// [`RrrStage::run`].
     pub fn run_traced(
         &self,
@@ -167,6 +175,7 @@ impl RrrStage {
         let mut modeled = 0.0;
         let mut total_dirty = 0u64;
         let mut total_avoided = 0u64;
+        let mut total_maze = MazeStats::default();
 
         let router = MazeRouter::new(self.maze);
         // A cramped window (heavy blockages) can leave no path; tasks retry
@@ -260,7 +269,8 @@ impl RrrStage {
                         });
                     let mut slot = slots[task as usize].lock();
                     match result {
-                        Ok(_) => {
+                        Ok(stats) => {
+                            slot.maze = stats;
                             // Swap the new geometry out of the scratch; the
                             // ripped route's buffers become the scratch's
                             // output storage for the next task.
@@ -369,8 +379,11 @@ impl RrrStage {
             // route table *before* the first error (if any) is surfaced, so
             // `routes` always matches the grid's committed demand.
             let mut first_error = None;
+            let mut maze = MazeStats::default();
             for (task, slot) in slots.iter().enumerate() {
                 let mut slot = slot.lock();
+                maze.expanded += slot.maze.expanded;
+                maze.pushes += slot.maze.pushes;
                 routes[violating[task] as usize] = std::mem::take(&mut slot.route);
                 if first_error.is_none() {
                     first_error = slot.error.take();
@@ -379,6 +392,10 @@ impl RrrStage {
             if let Some(e) = first_error {
                 return Err(RouteError::Maze(e));
             }
+            total_maze.expanded += maze.expanded;
+            total_maze.pushes += maze.pushes;
+            recorder.counter_sample("rrr.maze_expanded", maze.expanded as f64);
+            recorder.counter_sample("rrr.maze_pushes", maze.pushes as f64);
 
             // Incremental overflow maintenance: only routes crossing an
             // edge whose demand changed this iteration can have changed
@@ -414,6 +431,8 @@ impl RrrStage {
             modeled_parallel_seconds: modeled,
             dirty_edges: total_dirty,
             rescans_avoided: total_avoided,
+            maze_expanded: total_maze.expanded,
+            maze_pushes: total_maze.pushes,
         })
     }
 }
@@ -566,12 +585,24 @@ mod tests {
         }
     }
 
+    /// Routes `iterations` sequential RRR iterations from the congested
+    /// fixture and returns the outcome with the number of nets a full
+    /// `route_has_overflow` rescan of the final state finds overflowing.
+    fn run_and_rescan(iterations: usize) -> (RrrOutcome, usize) {
+        let (design, mut graph, mut routes) = congested();
+        let mut s = stage(RrrStrategy::Sequential);
+        s.iterations = iterations;
+        let outcome = s.run(&design, &mut graph, &mut routes).expect("ok");
+        let overflowing = routes
+            .iter()
+            .filter(|r| graph.route_has_overflow(r))
+            .count();
+        (outcome, overflowing)
+    }
+
     #[test]
     fn incremental_scan_tracks_dirty_edges() {
-        let (design, mut graph, mut routes) = congested();
-        let outcome = stage(RrrStrategy::Sequential)
-            .run(&design, &mut graph, &mut routes)
-            .expect("ok");
+        let (outcome, overflowing) = run_and_rescan(3);
         // Something was rerouted, so edges were dirtied...
         assert!(outcome.dirty_edges > 0);
         // ...and most untouched routes skipped their rescan entirely.
@@ -579,30 +610,27 @@ mod tests {
             outcome.rescans_avoided > 0,
             "expected the dirty-rect prefilter to skip some rescans"
         );
-        // Cached flags must agree with a ground-truth full rescan.
-        for r in &routes {
-            let _ = graph.route_has_overflow(r);
-        }
+        // The flags the incremental scan left behind must agree with a
+        // full rescan: a fourth iteration from the same state (sequential
+        // RRR is deterministic) rips exactly the nets the rescan finds.
+        let (longer, _) = run_and_rescan(4);
+        assert_eq!(&longer.nets_ripped[..3], &outcome.nets_ripped[..]);
+        assert_eq!(longer.nets_ripped.get(3).copied().unwrap_or(0), overflowing);
     }
 
     #[test]
     fn incremental_flags_match_full_rescan_each_iteration() {
-        // Run one iteration at a time and cross-check the cached flags the
-        // next run would use against a fresh full scan.
-        let (design, mut graph, mut routes) = congested();
-        let mut s = stage(RrrStrategy::TaskGraph);
-        s.iterations = 1;
-        for _ in 0..3 {
-            s.run(&design, &mut graph, &mut routes).expect("ok");
-            // After each single-iteration run, the stage's next invocation
-            // rebuilds flags with a full scan; equality with incremental
-            // maintenance is implied by demand-consistency plus this
-            // ground-truth comparison on the final state.
-            let full: Vec<bool> = routes
-                .iter()
-                .map(|r| graph.route_has_overflow(r))
-                .collect();
-            assert_eq!(full.len(), routes.len());
+        // Iteration `k` of a run rips the nets its incrementally
+        // maintained flags mark; a run stopped after `k` iterations lets a
+        // full rescan count the same nets from scratch.
+        let (full, _) = run_and_rescan(4);
+        for k in 0..4 {
+            let (_, overflowing) = run_and_rescan(k);
+            assert_eq!(
+                full.nets_ripped.get(k).copied().unwrap_or(0),
+                overflowing,
+                "iteration {k} ripped a different number of nets than a full rescan finds"
+            );
         }
     }
 

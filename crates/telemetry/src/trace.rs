@@ -176,6 +176,16 @@ impl RunTrace {
             .insert("rrr.full_rescan_avoided".to_owned(), rescans_avoided as f64);
     }
 
+    /// Records the maze search work of the RRR iterations (mirrored into
+    /// the `rrr.maze_expanded` / `rrr.maze_pushes` counter pair): vertices
+    /// expanded and priority-queue pushes, summed over every reroute.
+    pub fn set_rrr_maze_work(&mut self, expanded: u64, pushes: u64) {
+        self.counters
+            .insert("rrr.maze_expanded".to_owned(), expanded as f64);
+        self.counters
+            .insert("rrr.maze_pushes".to_owned(), pushes as f64);
+    }
+
     /// Sets (or overwrites) a named counter.
     pub fn set_counter(&mut self, name: &str, value: f64) {
         self.counters.insert(name.to_owned(), value);
@@ -358,6 +368,17 @@ mod tests {
         let sig = trace.deterministic_signature();
         assert!(sig.contains("counter rrr.dirty_edges = 120"), "{sig}");
         assert!(sig.contains("counter rrr.full_rescan_avoided = 340"), "{sig}");
+    }
+
+    #[test]
+    fn maze_work_mirrors_counter_pair() {
+        let mut trace = sample_trace();
+        trace.set_rrr_maze_work(5000, 9000);
+        assert_eq!(trace.counter("rrr.maze_expanded"), Some(5000.0));
+        assert_eq!(trace.counter("rrr.maze_pushes"), Some(9000.0));
+        let sig = trace.deterministic_signature();
+        assert!(sig.contains("counter rrr.maze_expanded = 5000"), "{sig}");
+        assert!(sig.contains("counter rrr.maze_pushes = 9000"), "{sig}");
     }
 
     #[test]
